@@ -5,6 +5,8 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <system_error>
 
 namespace harbor {
 
@@ -18,6 +20,16 @@ Cluster::~Cluster() {
     if (c) c->Crash();
   }
   authority_.StopTicker();
+  // The sites, then the runtime that may still drain their tasks, go before
+  // the directory, so nothing writes into the tree while it is removed.
+  workers_.clear();
+  coordinators_.clear();
+  network_.reset();
+  scheduler_.reset();
+  if (owns_base_dir_) {
+    std::error_code ec;
+    std::filesystem::remove_all(base_dir_, ec);
+  }
 }
 
 Result<std::unique_ptr<Cluster>> Cluster::Create(ClusterOptions options) {
@@ -35,7 +47,7 @@ Result<std::unique_ptr<Cluster>> Cluster::Create(ClusterOptions options) {
 
   cluster->scheduler_ = std::make_unique<runtime::Scheduler>();
   cluster->network_ =
-      std::make_unique<Network>(options.sim, cluster->scheduler_.get());
+      std::make_unique<Network>(options.sim, *cluster->scheduler_);
   // A site that dies between BeginCommit and EndCommit would pin
   // StableTime() forever; subscribed before any site so the epoch holds are
   // freed ahead of the workers' own crash handling (consensus, §4.3.3).

@@ -123,6 +123,10 @@ class Cluster {
   /// The cluster-wide task scheduler every subsystem shares (RPC dispatch,
   /// checkpoint/epoch timers, consensus rounds, recovery fan-out).
   runtime::Scheduler* scheduler() { return scheduler_.get(); }
+
+  /// Root of every site's storage. Removed with the cluster when the
+  /// cluster created it (ClusterOptions::base_dir left empty).
+  const std::string& base_dir() const { return base_dir_; }
   TimestampAuthority* authority() { return &authority_; }
   GlobalCatalog* catalog() { return &catalog_; }
   LivenessDirectory* liveness() { return &liveness_; }

@@ -1,22 +1,22 @@
 #include "net/network.h"
 
-#include <chrono>
-#include <thread>
-
 #include "fault/fault_injector.h"
 #include "obs/observer.h"
 
 namespace harbor {
 
-Network::Network(const SimConfig& config, runtime::Scheduler* scheduler)
-    : config_(config), sim_(config) {
-  if (scheduler == nullptr) {
-    owned_sched_ = std::make_unique<runtime::Scheduler>();
-    sched_ = owned_sched_.get();
-  } else {
-    sched_ = scheduler;
-  }
+void Network::ReplySlot::Resolve(Result<Message> result) {
+  if (resolved) return;
+  resolved = true;
+  promise.set_value(std::move(result));
 }
+
+Network::ReplySlot::~ReplySlot() {
+  Resolve(Status::Unavailable("reply lost in transit (runtime shut down)"));
+}
+
+Network::Network(const SimConfig& config, runtime::Scheduler& scheduler)
+    : config_(config), sim_(config), sched_(scheduler) {}
 
 Network::~Network() {
   std::vector<SiteId> sites;
@@ -40,52 +40,62 @@ Status Network::RegisterSite(SiteId site, Handler handler, int num_threads) {
   auto ep = std::make_shared<Endpoint>();
   ep->handler = std::move(handler);
   ep->alive = true;
+  // The strand exists before the endpoint is published, so every caller
+  // and every CrashSite that finds the endpoint also finds its strand.
+  ep->strand = sched_.CreateStrand(num_threads);
+  if (ep->strand == 0) return Status::Unavailable("runtime is shut down");
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = endpoints_.find(site);
-    if (it != endpoints_.end() && it->second->alive) {
-      return Status::AlreadyExists("site " + std::to_string(site) +
-                                   " already registered and alive");
+    if (it == endpoints_.end() || !it->second->alive) {
+      endpoints_[site] = ep;
+      return Status::OK();
     }
-    endpoints_[site] = ep;
   }
-  // Under ep->mu so a concurrent CrashSite either sees the strand (and
-  // releases it) or none (and the registration fails cleanly below).
-  std::lock_guard<std::mutex> lock(ep->mu);
-  if (ep->stopping) {
-    return Status::Unavailable("site " + std::to_string(site) +
-                               " crashed during registration");
-  }
-  ep->strand = sched_->CreateStrand(num_threads);
-  if (ep->strand == 0) {
-    ep->alive = false;
-    return Status::Unavailable("runtime is shut down");
-  }
-  return Status::OK();
+  sched_.ReleaseStrand(ep->strand);
+  return Status::AlreadyExists("site " + std::to_string(site) +
+                               " already registered and alive");
 }
 
-void Network::DispatchOne(SiteId site, std::shared_ptr<Endpoint> ep) {
+bool Network::SendLocked(SiteId to, const std::shared_ptr<Endpoint>& ep,
+                         PendingCall& call, int64_t delay_ns) {
+  const int64_t arrival =
+      sim_.Send(call.from, call.request.WireBytes()) + delay_ns;
+  const uint64_t id = ep->next_call_id++;
+  auto slot = ep->in_transit.emplace(id, std::move(call)).first;
+  if (sched_.PostAt(ep->strand, arrival,
+                    [this, to, ep, id] { DispatchOne(to, ep, id); })) {
+    return true;
+  }
+  call = std::move(slot->second);
+  ep->in_transit.erase(slot);
+  return false;
+}
+
+void Network::DispatchOne(SiteId site, const std::shared_ptr<Endpoint>& ep,
+                          uint64_t call_id) {
   PendingCall call;
   {
     std::lock_guard<std::mutex> lock(ep->mu);
-    if (ep->stopping || ep->inbox.empty()) return;
-    call = std::move(ep->inbox.front());
-    ep->inbox.pop_front();
+    if (!ep->alive) return;
+    auto it = ep->in_transit.find(call_id);
+    if (it == ep->in_transit.end()) return;
+    call = std::move(it->second);
+    ep->in_transit.erase(it);
     ep->in_flight++;
   }
-  if (call.delay_ms > 0) {  // fault-injected link delay
-    runtime::ScopedBlocking block;
-    std::this_thread::sleep_for(std::chrono::milliseconds(call.delay_ms));
+  Result<Message> result = ep->handler(call.from, call.request);
+  if (result.ok()) {
+    // The reply leg, on this site's NIC: the caller's future completes at
+    // its arrival instant, and this pool thread is free at once.
+    const int64_t arrival = sim_.Send(site, result->WireBytes());
+    sched_.PostAt(runtime::Scheduler::kTimerThread, arrival,
+                  [reply = call.reply, result = std::move(result)]() mutable {
+                    reply->Resolve(std::move(result));
+                  });
+  } else {
+    call.reply->Resolve(std::move(result));
   }
-  // Request delivery cost (sender = caller) is paid on the serving task so
-  // the (async) caller is not blocked by it.
-  sim_.ChargeMessage(call.from, call.request.WireBytes());
-  Result<Message> reply = ep->handler(call.from, call.request);
-  // Reply flight back to the caller, charged against this site's NIC.
-  if (reply.ok()) {
-    sim_.ChargeMessage(site, reply->WireBytes());
-  }
-  call.promise->set_value(std::move(reply));
   {
     std::lock_guard<std::mutex> lock(ep->mu);
     ep->in_flight--;
@@ -108,12 +118,12 @@ void Network::CrashSite(SiteId site) {
       return;
     }
     ep->alive = false;
-    ep->stopping = true;
-    // Fail whatever is still queued (the abruptly-closed-socket signal).
-    while (!ep->inbox.empty()) {
-      ep->inbox.front().promise->set_value(Status::Unavailable("site crashed"));
-      ep->inbox.pop_front();
+    // Fail whatever is on the wire or queued (the abruptly-closed-socket
+    // signal); their dispatch turns find nothing to serve.
+    for (auto& [id, call] : ep->in_transit) {
+      call.reply->Resolve(Status::Unavailable("site crashed"));
     }
+    ep->in_transit.clear();
     {
       // In-flight handlers drain; their blocking waits were unblocked by
       // the caller (e.g. LockManager::Shutdown) per the crash protocol.
@@ -125,10 +135,10 @@ void Network::CrashSite(SiteId site) {
     ep->strand = 0;
   }
   ep->cv.notify_all();
-  // Discards queued dispatch turns (their calls were failed above). Not
-  // under ep->mu: the strand's last running turns may need it to observe
-  // `stopping`.
-  if (to_release != 0) sched_->ReleaseStrand(to_release);
+  // Discards queued dispatch turns (their calls were failed above), and
+  // makes the scheduler drop those still timed for arrival. Not under
+  // ep->mu: the strand's last running turns may need it to see the crash.
+  sched_.ReleaseStrand(to_release);
   obs::Trace(site, "net.crash");
 
   // Only the transitioning crasher reaches this point, so subscribers fire
@@ -150,12 +160,11 @@ bool Network::IsAlive(SiteId site) {
 
 std::future<Result<Message>> Network::CallAsync(SiteId from, SiteId to,
                                                 Message request) {
-  auto promise = std::make_shared<std::promise<Result<Message>>>();
-  std::future<Result<Message>> future = promise->get_future();
+  PendingCall call{from, std::move(request), std::make_shared<ReplySlot>()};
+  std::future<Result<Message>> future = call.reply->promise.get_future();
   std::shared_ptr<Endpoint> ep = Find(to);
   if (ep == nullptr) {
-    promise->set_value(
-        Status::Unavailable("no site " + std::to_string(to)));
+    call.reply->Resolve(Status::Unavailable("no site " + std::to_string(to)));
     return future;
   }
   // Link faults: a dropped message surfaces as kUnavailable at the caller
@@ -164,37 +173,30 @@ std::future<Result<Message>> Network::CallAsync(SiteId from, SiteId to,
   int64_t delay_ms = 0;
   bool duplicate = false;
   if (fault::FaultInjector* fi = fault::FaultInjector::Current()) {
-    fault::LinkDecision d = fi->OnMessage(from, to, request.type);
+    fault::LinkDecision d = fi->OnMessage(from, to, call.request.type);
     if (d.drop) {
-      promise->set_value(Status::Unavailable(
+      call.reply->Resolve(Status::Unavailable(
           "fault-injected drop of message to site " + std::to_string(to)));
       return future;
     }
     delay_ms = d.delay_ms;
     duplicate = d.duplicate;
   }
-  {
-    std::lock_guard<std::mutex> lock(ep->mu);
-    if (!ep->alive) {
-      promise->set_value(Status::Unavailable(
-          "site " + std::to_string(to) + " is down (connection refused)"));
-      return future;
-    }
-    if (duplicate) {
-      auto dup_promise = std::make_shared<std::promise<Result<Message>>>();
-      ep->inbox.push_back(PendingCall{from, request, dup_promise, delay_ms});
-      sched_->Post(ep->strand,
-                   [this, to, ep] { DispatchOne(to, ep); });
-    }
-    ep->inbox.push_back(
-        PendingCall{from, std::move(request), promise, delay_ms});
-    if (!sched_->Post(ep->strand, [this, to, ep] { DispatchOne(to, ep); })) {
-      // Runtime shut down under us: fail the call like a crashed site.
-      ep->inbox.back().promise->set_value(
-          Status::Unavailable("site " + std::to_string(to) +
-                              " is down (runtime shut down)"));
-      ep->inbox.pop_back();
-    }
+  const int64_t delay_ns = delay_ms * 1'000'000;
+  std::lock_guard<std::mutex> lock(ep->mu);
+  if (!ep->alive) {
+    call.reply->Resolve(Status::Unavailable(
+        "site " + std::to_string(to) + " is down (connection refused)"));
+    return future;
+  }
+  if (duplicate) {  // the copy's reply goes nowhere
+    PendingCall copy{from, call.request, std::make_shared<ReplySlot>()};
+    SendLocked(to, ep, copy, delay_ns);
+  }
+  if (!SendLocked(to, ep, call, delay_ns)) {
+    // Runtime shut down under us: fail the call like a crashed site.
+    call.reply->Resolve(Status::Unavailable(
+        "site " + std::to_string(to) + " is down (runtime shut down)"));
   }
   return future;
 }

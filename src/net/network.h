@@ -3,7 +3,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
@@ -35,24 +34,31 @@ struct Message {
 /// paper's TCP mesh (§6.1.6).
 ///
 /// Each registered site is a *strand* on the shared runtime scheduler: its
-/// inbox drains in FIFO order with at most `num_threads` handlers running
+/// requests are served in arrival order with at most `num_threads` running
 /// concurrently — the same semantics as the thesis's "each worker runs a
 /// multi-threaded server", but without dedicating OS threads per site, so
 /// hundreds of sites share one fixed pool. Calls are synchronous RPCs
 /// (CallAsync returns a future for parallel fan-out, e.g. PREPARE to all
-/// workers). Delivery charges the SimNetwork latency/bandwidth model.
+/// workers).
+///
+/// Wire time holds no thread. Each message leg reserves its transfer on the
+/// sender's NIC (SimNetwork::Send) and gets one arrival instant, later by
+/// any fault-injected link delay; the scheduler's timer then posts the
+/// request's dispatch turn to the target strand, or completes the caller's
+/// future with the reply, at that instant (Scheduler::PostAt).
 ///
 /// Failure semantics follow the paper's fail-stop model: CrashSite
-/// atomically marks the endpoint dead, fails queued and future calls with
-/// kUnavailable (the "abruptly closed TCP socket" failure signal of §5.5.1),
-/// waits for in-flight handlers to drain, and fires crash subscriptions so
-/// e.g. a recovery buddy can release a dead recovering site's locks.
+/// atomically marks the endpoint dead, fails requests still in transit or
+/// queued and all future calls with kUnavailable (the "abruptly closed TCP
+/// socket" failure signal of §5.5.1), waits for in-flight handlers to
+/// drain, and fires crash subscriptions so e.g. a recovery buddy can
+/// release a dead recovering site's locks. A reply still on the wire when
+/// the scheduler shuts down resolves as kUnavailable.
 class Network {
  public:
-  /// With a null `scheduler` the network owns a private runtime; pass a
-  /// shared one (e.g. the cluster's) to host every subsystem on one pool.
-  explicit Network(const SimConfig& config,
-                   runtime::Scheduler* scheduler = nullptr);
+  /// `scheduler` (the cluster's one runtime) hosts every site's dispatch
+  /// and times every message leg; it must outlive the network.
+  Network(const SimConfig& config, runtime::Scheduler& scheduler);
   ~Network();
 
   Network(const Network&) = delete;
@@ -87,9 +93,9 @@ class Network {
   /// crashes.
   void SubscribeCrash(std::function<void(SiteId)> callback);
 
-  /// The runtime hosting this network's dispatch (shared or owned) — the
-  /// cluster-wide executor for timers, recovery fan-out, and sessions.
-  runtime::Scheduler* scheduler() { return sched_; }
+  /// The runtime hosting this network's dispatch — the cluster-wide
+  /// executor for timers, recovery fan-out, and sessions.
+  runtime::Scheduler* scheduler() { return &sched_; }
 
   SimNetwork& sim() { return sim_; }
 
@@ -97,33 +103,51 @@ class Network {
   int64_t num_messages() const { return sim_.num_messages(); }
 
  private:
+  /// The caller's end of one call, resolved exactly once. Whoever drops the
+  /// last reference to an unresolved slot (a reply-delivery task destroyed
+  /// unrun by a shut-down scheduler) resolves it as kUnavailable, so a
+  /// caller never sees broken_promise.
+  struct ReplySlot {
+    std::promise<Result<Message>> promise;
+    bool resolved = false;
+    void Resolve(Result<Message> result);
+    ~ReplySlot();
+  };
   struct PendingCall {
-    SiteId from;
+    SiteId from = 0;
     Message request;
-    std::shared_ptr<std::promise<Result<Message>>> promise;
-    int64_t delay_ms = 0;  // fault-injected in-flight delay
+    std::shared_ptr<ReplySlot> reply;
   };
   struct Endpoint {
     Handler handler;
     std::mutex mu;
     std::condition_variable cv;
-    std::deque<PendingCall> inbox;
+    /// Requests sent and not yet served (on the wire or queued on the
+    /// strand), by call id; the dispatch turn posted at a request's arrival
+    /// instant carries its id.
+    std::unordered_map<uint64_t, PendingCall> in_transit;
+    uint64_t next_call_id = 1;
     runtime::StrandId strand = 0;
     bool alive = false;
-    bool stopping = false;
-    bool drained = false;  // crash finished: inbox failed, handlers drained
+    bool drained = false;  // crash finished: in_transit failed, drained
     int in_flight = 0;
   };
 
-  /// One dispatch turn on the endpoint's strand: pops and serves at most
-  /// one inbox entry. No-op once the endpoint is stopping.
-  void DispatchOne(SiteId site, std::shared_ptr<Endpoint> ep);
+  /// Puts one request leg on the wire (under ep->mu): reserves it on the
+  /// sender's NIC and posts the dispatch turn at its arrival instant, plus
+  /// `delay_ns` of fault-injected delay. On refusal (runtime shut down)
+  /// the call is handed back unsent.
+  bool SendLocked(SiteId to, const std::shared_ptr<Endpoint>& ep,
+                  PendingCall& call, int64_t delay_ns);
+  /// One dispatch turn on the endpoint's strand: serves call `call_id` if
+  /// it is still in transit. No-op once the site has crashed.
+  void DispatchOne(SiteId site, const std::shared_ptr<Endpoint>& ep,
+                   uint64_t call_id);
   std::shared_ptr<Endpoint> Find(SiteId site);
 
   const SimConfig config_;
   SimNetwork sim_;
-  std::unique_ptr<runtime::Scheduler> owned_sched_;
-  runtime::Scheduler* sched_;
+  runtime::Scheduler& sched_;
   std::mutex mu_;
   std::unordered_map<SiteId, std::shared_ptr<Endpoint>> endpoints_;
   std::vector<std::function<void(SiteId)>> crash_subscribers_;

@@ -4,6 +4,10 @@
 #include <chrono>
 #include <climits>
 
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
+
 namespace harbor::runtime {
 
 namespace {
@@ -70,10 +74,34 @@ void Scheduler::ReleaseStrand(StrandId strand) {
 
 bool Scheduler::Post(StrandId strand, Task task) {
   std::lock_guard<std::mutex> lock(mu_);
-  return PostLocked(strand, std::move(task));
+  return PostLocked(strand, task);
 }
 
-bool Scheduler::PostLocked(StrandId strand, Task task) {
+bool Scheduler::PostAt(StrandId strand, int64_t deadline_ns, Task task) {
+  const int64_t now = NowNs();
+  std::unique_lock<std::mutex> lock(mu_);
+  if (stopping_) return false;
+  // Already due and ahead of every pending entry: run or post at once,
+  // which keeps deadline order without a timer-thread hop.
+  const bool due = deadline_ns <= now &&
+                   (timer_heap_.empty() ||
+                    timer_heap_.front().deadline_ns > deadline_ns);
+  if (strand == kTimerThread) {
+    if (due) {
+      lock.unlock();
+      task();
+      return true;
+    }
+  } else {
+    if (due) return PostLocked(strand, task);
+    auto it = strands_.find(strand);
+    if (it == strands_.end() || it->second.closed) return false;
+  }
+  PushHeapLocked(deadline_ns, /*id=*/0, strand, std::move(task));
+  return true;
+}
+
+bool Scheduler::PostLocked(StrandId strand, Task& task) {
   if (stopping_) return false;
   auto it = strands_.find(strand);
   if (it == strands_.end() || it->second.closed) return false;
@@ -225,10 +253,17 @@ TimerId Scheduler::ArmTimerLocked(int64_t delay_ns, int64_t period_ns,
   st.fn = std::make_shared<const Task>(std::move(task));
   st.period_ns = period_ns;
   timers_.emplace(id, std::move(st));
-  timer_heap_.push_back({NowNs() + std::max<int64_t>(0, delay_ns), id});
-  std::push_heap(timer_heap_.begin(), timer_heap_.end(), std::greater<>());
-  timer_cv_.notify_all();
+  PushHeapLocked(NowNs() + std::max<int64_t>(0, delay_ns), id, kPool,
+                 nullptr);
   return id;
+}
+
+void Scheduler::PushHeapLocked(int64_t deadline_ns, TimerId id,
+                               StrandId strand, Task task) {
+  timer_heap_.push_back(
+      {deadline_ns, next_heap_seq_++, id, strand, std::move(task)});
+  std::push_heap(timer_heap_.begin(), timer_heap_.end(), std::greater<>());
+  if (deadline_ns < timer_wake_ns_) timer_cv_.notify_one();
 }
 
 bool Scheduler::CancelTimer(TimerId id) {
@@ -257,30 +292,53 @@ bool Scheduler::CancelTimer(TimerId id) {
 }
 
 void Scheduler::TimerLoop() {
+#ifdef __linux__
+  // This thread waits out every timer and every PostAt deadline, the
+  // ~80 us message legs among them; the default 50 us of timer slack would
+  // more than double those waits. Affects this thread only.
+  prctl(PR_SET_TIMERSLACK, 1000UL, 0UL, 0UL, 0UL);
+#endif
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    while (!timer_heap_.empty() &&
+    while (!timer_heap_.empty() && timer_heap_.front().id != 0 &&
            timers_.find(timer_heap_.front().id) == timers_.end()) {
       std::pop_heap(timer_heap_.begin(), timer_heap_.end(), std::greater<>());
       timer_heap_.pop_back();  // stale: cancelled while armed
     }
     if (stopping_) return;
     if (timer_heap_.empty()) {
+      timer_wake_ns_ = INT64_MAX;
       timer_cv_.wait(lock);
+      timer_wake_ns_ = INT64_MIN;
       continue;
     }
     const int64_t deadline = timer_heap_.front().deadline_ns;
     if (deadline > NowNs()) {
+      timer_wake_ns_ = deadline;
       timer_cv_.wait_until(lock, TimePointOf(deadline));
+      timer_wake_ns_ = INT64_MIN;
       continue;
     }
-    const TimerId id = timer_heap_.front().id;
     std::pop_heap(timer_heap_.begin(), timer_heap_.end(), std::greater<>());
+    HeapEntry due = std::move(timer_heap_.back());
     timer_heap_.pop_back();
-    auto it = timers_.find(id);
+    if (due.id == 0) {
+      const bool run_here = due.strand == kTimerThread;
+      if (run_here || !PostLocked(due.strand, due.task)) {
+        // Run it here, or destroy it unrun (strand released meanwhile);
+        // either way outside mu_.
+        lock.unlock();
+        if (run_here) due.task();
+        due.task = nullptr;
+        lock.lock();
+      }
+      continue;
+    }
+    auto it = timers_.find(due.id);
     if (it == timers_.end()) continue;
     it->second.phase = TimerState::kQueued;
-    PostLocked(kPool, [this, id] { RunTimerCallback(id); });
+    Task fire = [this, id = due.id] { RunTimerCallback(id); };
+    PostLocked(kPool, fire);
   }
 }
 
@@ -308,10 +366,7 @@ void Scheduler::RunTimerCallback(TimerId id) {
       TimerState& st = it->second;
       if (st.period_ns > 0 && !st.cancelled && !stopping_) {
         st.phase = TimerState::kArmed;  // fixed delay between firings
-        timer_heap_.push_back({NowNs() + st.period_ns, id});
-        std::push_heap(timer_heap_.begin(), timer_heap_.end(),
-                       std::greater<>());
-        timer_cv_.notify_all();
+        PushHeapLocked(NowNs() + st.period_ns, id, kPool, nullptr);
       } else {
         timers_.erase(it);
       }
@@ -342,6 +397,14 @@ void Scheduler::Shutdown() {
   timer_cv_.notify_all();
   cancel_cv_.notify_all();
   if (timer_thread_.joinable()) timer_thread_.join();
+  // PostAt entries still pending are destroyed unrun, before the drain: a
+  // draining task may wait on what their destructors release.
+  std::vector<HeapEntry> pending;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    pending.swap(timer_heap_);
+  }
+  pending.clear();
   for (std::thread& t : core_threads_) {
     if (t.joinable()) t.join();
   }

@@ -44,7 +44,7 @@ using TimerId = uint64_t;
 ///
 /// Shutdown: graceful drain. Already-queued tasks run to completion; new
 /// Post()s are rejected (return false); armed timers are cancelled without
-/// firing.
+/// firing, and pending PostAt() entries are destroyed unrun.
 class Scheduler {
  public:
   struct Options {
@@ -63,6 +63,11 @@ class Scheduler {
 
   /// The built-in unordered dispatch group (effectively unlimited width).
   static constexpr StrandId kPool = 1;
+
+  /// PostAt() only: run the task on the timer thread itself at its
+  /// deadline (or on the caller, if already due), with no pool hop. For
+  /// tiny completions that never block, such as resolving a promise.
+  static constexpr StrandId kTimerThread = 0;
 
   Scheduler() : Scheduler(Options()) {}
   explicit Scheduler(Options options);
@@ -85,6 +90,16 @@ class Scheduler {
   bool Post(Task task) { return Post(kPool, std::move(task)); }
   bool Post(StrandId strand, Task task);
 
+  /// Deadline post: runs `task` on `strand` once the steady clock (the
+  /// `NowNanos()` clock) reaches `deadline_ns`. The timer thread posts it
+  /// when due, so no pool thread waits out the interval. Due entries are
+  /// posted in deadline order, and entries with equal deadlines in PostAt
+  /// order, so one strand sees FIFO among equal deadlines. Returns false
+  /// (task destroyed) after Shutdown() or onto a released strand. An entry
+  /// still pending at Shutdown(), or due onto a strand released meanwhile,
+  /// is destroyed unrun.
+  bool PostAt(StrandId strand, int64_t deadline_ns, Task task);
+
   /// One-shot timer: runs `task` on the pool after `delay_ns`. Returns 0 if
   /// rejected (shutdown).
   TimerId ScheduleAfter(int64_t delay_ns, Task task);
@@ -101,8 +116,8 @@ class Scheduler {
   bool CancelTimer(TimerId id);
 
   /// Graceful drain: rejects new work, runs everything already queued,
-  /// cancels armed timers unfired, joins all workers. Idempotent. Must not
-  /// be called from a pool task.
+  /// cancels armed timers unfired, destroys pending PostAt() entries unrun,
+  /// joins all workers. Idempotent. Must not be called from a pool task.
   void Shutdown();
 
   /// Blocking-section entry/exit — prefer ScopedBlocking.
@@ -132,18 +147,28 @@ class Scheduler {
     enum Phase { kArmed, kQueued, kRunning } phase = kArmed;
     bool cancelled = false;
   };
+  /// A timer firing (id != 0) or a PostAt entry (id == 0: `task` goes to
+  /// `strand` when due). `seq` breaks deadline ties in push order.
   struct HeapEntry {
     int64_t deadline_ns;  // steady_clock epoch
+    uint64_t seq;
     TimerId id;
+    StrandId strand;
+    Task task;
     bool operator>(const HeapEntry& o) const {
-      return deadline_ns > o.deadline_ns;
+      return deadline_ns != o.deadline_ns ? deadline_ns > o.deadline_ns
+                                          : seq > o.seq;
     }
   };
 
   void WorkerLoop(bool spare, uint64_t spare_key = 0);
   void TimerLoop();
   void RunTimerCallback(TimerId id);
-  bool PostLocked(StrandId strand, Task task);
+  /// Queues `task` and returns true, or returns false leaving `task` with
+  /// the caller (so it is destroyed outside mu_).
+  bool PostLocked(StrandId strand, Task& task);
+  void PushHeapLocked(int64_t deadline_ns, TimerId id, StrandId strand,
+                      Task task);
   void TicketLocked(StrandId sid, Strand& s);
   void MaybeEraseStrandLocked(StrandId sid);
   void EnsureCapacityLocked();
@@ -167,7 +192,11 @@ class Scheduler {
   uint64_t rng_state_;
 
   std::map<TimerId, TimerState> timers_;
-  std::vector<HeapEntry> timer_heap_;  // min-heap on deadline
+  std::vector<HeapEntry> timer_heap_;  // min-heap on (deadline, seq)
+  uint64_t next_heap_seq_ = 0;
+  /// The deadline the timer thread sleeps until (INT64_MAX: no deadline),
+  /// or INT64_MIN while it is awake; a push only wakes it when earlier.
+  int64_t timer_wake_ns_ = INT64_MIN;
   TimerId next_timer_ = 1;
 
   bool stopping_ = false;

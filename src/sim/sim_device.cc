@@ -9,8 +9,6 @@
 namespace harbor {
 namespace {
 
-// Hybrid wait: OS sleep for the bulk, spin for the sub-scheduler-granularity
-// tail so that short charges (a few microseconds) remain accurate.
 void WaitUntilNanos(int64_t deadline_ns) {
   // Sleep, never spin: on small hosts a spinning waiter starves the threads
   // doing real work, distorting every concurrency experiment. The scheduler
@@ -30,22 +28,23 @@ void WaitUntilNanos(int64_t deadline_ns) {
 
 }  // namespace
 
-void SimSleepNanos(int64_t ns) {
-  if (ns > 0) WaitUntilNanos(NowNanos() + ns);
+int64_t SimDevice::Reserve(int64_t cost_ns) {
+  Account(cost_ns);
+  const int64_t now = NowNanos();
+  if (!enable_latency_ || cost_ns <= 0) return now;
+  std::lock_guard<std::mutex> lock(mu_);
+  const int64_t start = next_free_ns_ > now ? next_free_ns_ : now;
+  next_free_ns_ = start + cost_ns;
+  return next_free_ns_;
 }
 
 int64_t SimDevice::Charge(int64_t cost_ns) {
-  Account(cost_ns);
-  if (!enable_latency_ || cost_ns <= 0) return 0;
-
-  const int64_t now = NowNanos();
-  int64_t end;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const int64_t start = next_free_ns_ > now ? next_free_ns_ : now;
-    end = start + cost_ns;
-    next_free_ns_ = end;
+  if (!enable_latency_ || cost_ns <= 0) {
+    Account(cost_ns);
+    return 0;
   }
+  const int64_t now = NowNanos();
+  const int64_t end = Reserve(cost_ns);
   WaitUntilNanos(end);
   return end - now;
 }

@@ -12,12 +12,17 @@ namespace harbor {
 /// disk head, a NIC).
 ///
 /// Each operation reserves a [start, end) interval on the device's virtual
-/// timeline (anchored to the real monotonic clock) and then sleeps until its
-/// end time. Because intervals never overlap, concurrent callers queue up
-/// exactly as requests would queue at a real device: under contention the
-/// device becomes the bottleneck and per-caller latency grows — this is what
-/// makes the "disk-bound" plateaus of Figure 6-2 emerge naturally, and what
-/// lets group commit win by folding many commits into a single reservation.
+/// timeline (anchored to the real monotonic clock). Because intervals never
+/// overlap, concurrent callers queue up exactly as requests would queue at a
+/// real device: under contention the device becomes the bottleneck and
+/// per-caller latency grows — this is what makes the "disk-bound" plateaus
+/// of Figure 6-2 emerge naturally, and what lets group commit win by folding
+/// many commits into a single reservation.
+///
+/// Charge() reserves and then sleeps the caller until the interval ends (a
+/// disk access holds its thread). Reserve() only reserves and returns the
+/// end instant, for costs that a deadline can carry instead of a thread: a
+/// network leg is delivered by the scheduler's timer at that instant.
 class SimDevice {
  public:
   explicit SimDevice(std::string name, bool enable_latency = true)
@@ -30,6 +35,11 @@ class SimDevice {
   /// reserved interval has elapsed. Returns the caller-observed latency in
   /// nanoseconds (queueing delay + service time).
   int64_t Charge(int64_t cost_ns);
+
+  /// Reserves `cost_ns` of device time without waiting and returns the
+  /// instant (NowNanos() clock) the reserved interval ends: now or later,
+  /// and exactly now when latency is disabled.
+  int64_t Reserve(int64_t cost_ns);
 
   /// Accounts an operation without sleeping (used when enable_latency is
   /// false, and for statistics-only costs).
@@ -52,11 +62,6 @@ class SimDevice {
   int64_t next_free_ns_ = 0;  // guarded by mu_; virtual timeline anchor
   std::atomic<int64_t> total_cost_ns_{0};
 };
-
-/// Blocks the calling thread for `ns` nanoseconds with sub-scheduler
-/// accuracy (OS sleep for the bulk, spin for the tail). Used for costs that
-/// do not serialize on any device, e.g. network propagation latency.
-void SimSleepNanos(int64_t ns);
 
 }  // namespace harbor
 

@@ -6,6 +6,7 @@
 #include <memory>
 #include <unordered_map>
 
+#include "common/clock.h"
 #include "common/types.h"
 #include "obs/observer.h"
 #include "sim/sim_config.h"
@@ -23,23 +24,30 @@ namespace harbor {
 /// from two different buddies overlap transfers — "the recovery buddies can
 /// overlap the network costs of sending tuples, and the recovering site
 /// essentially receives two tuples in the time to send one" (§6.4.1).
+///
+/// Sending never waits: wire time is a reservation on the sender's NIC
+/// timeline plus a deadline. The caller hands the returned arrival instant
+/// to the scheduler (runtime::Scheduler::PostAt), whose timer thread is the
+/// only thread that waits it out.
 class SimNetwork {
  public:
   explicit SimNetwork(const SimConfig& config) : config_(config) {}
 
-  /// Charges the delivery of `bytes` from site `from`, blocking the calling
-  /// thread for the modelled duration.
-  void ChargeMessage(SiteId from, int64_t bytes) {
+  /// Counts one message of `bytes` from site `from`, reserves its transfer
+  /// on that site's NIC, and returns its arrival instant (NowNanos() clock):
+  /// the reservation's end plus the propagation latency. With latency
+  /// disabled the arrival instant is now.
+  int64_t Send(SiteId from, int64_t bytes) {
     messages_.fetch_add(1, std::memory_order_relaxed);
     bytes_.fetch_add(bytes, std::memory_order_relaxed);
     obs::Count(from, obs::CounterId::kNetMessagesSent);
     obs::Count(from, obs::CounterId::kNetBytesSent, bytes);
     obs::Observe(from, obs::HistogramId::kNetMessageBytes, bytes);
-    if (!config_.enable_latency) return;
-    Nic(from).Charge(bytes * 1'000'000'000 /
-                     config_.net_bandwidth_bytes_per_sec);
-    // Propagation latency is unserialized: sleep outside the NIC queue.
-    SimSleepNanos(config_.net_latency_ns);
+    if (!config_.enable_latency) return NowNanos();
+    // Propagation latency is unserialized: it follows the NIC reservation.
+    return Nic(from).Reserve(bytes * 1'000'000'000 /
+                             config_.net_bandwidth_bytes_per_sec) +
+           config_.net_latency_ns;
   }
 
   int64_t num_messages() const {

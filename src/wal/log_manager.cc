@@ -10,6 +10,7 @@
 #include "common/byte_buffer.h"
 #include "common/clock.h"
 #include "obs/observer.h"
+#include "runtime/scheduler.h"
 
 namespace harbor {
 
@@ -140,7 +141,9 @@ Status LogManager::Flush(Lsn target) {
       // A leader is writing; wait for it, then re-check. The re-check is
       // what guarantees force ordering: a waiter whose LSN rode in the
       // leader's batch only returns after the leader completed the write
-      // and published flushed_lsn_ under mu_.
+      // and published flushed_lsn_ under mu_. A blocking section: the
+      // committer may be a pool task (a worker's PREPARE handler).
+      runtime::ScopedBlocking block;
       flushed_cv_.wait(lock);
       continue;
     }

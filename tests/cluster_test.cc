@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 
 #include "exec/seq_scan.h"
 #include "tests/test_util.h"
@@ -130,6 +131,33 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+TEST(ClusterTest, RemovesOnlyTheDirectoryItCreated) {
+  // Owned: a fresh temp directory, gone once the cluster is.
+  std::string owned;
+  {
+    auto cluster = MakeCluster(CommitProtocol::kOptimized3PC);
+    ASSERT_OK_AND_ASSIGN(TableId table, MakeTable(cluster.get(), "t"));
+    ASSERT_OK(cluster->coordinator()->InsertTxn(table, SmallRow(1, 1, "a")));
+    owned = cluster->base_dir();
+    EXPECT_TRUE(std::filesystem::is_directory(owned));
+  }
+  EXPECT_FALSE(std::filesystem::exists(owned));
+
+  // Caller-supplied: left in place with the sites' files in it.
+  const std::string supplied = test::MakeTempDir("cluster-dir");
+  {
+    ClusterOptions opt;
+    opt.num_workers = 2;
+    opt.sim = SimConfig::Zero();
+    opt.base_dir = supplied;
+    ASSERT_OK_AND_ASSIGN(auto cluster, Cluster::Create(opt));
+    ASSERT_OK(MakeTable(cluster.get(), "t").status());
+  }
+  EXPECT_TRUE(std::filesystem::is_directory(supplied));
+  EXPECT_FALSE(std::filesystem::is_empty(supplied));
+  std::filesystem::remove_all(supplied);
+}
 
 TEST(ClusterTest, UpdateIsDeletePlusInsert) {
   auto cluster = MakeCluster(CommitProtocol::kOptimized3PC);

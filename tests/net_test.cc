@@ -8,9 +8,12 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "tests/test_util.h"
 
 namespace harbor {
@@ -24,7 +27,8 @@ Message Ping(uint16_t type, uint8_t byte) {
 }
 
 TEST(NetworkTest, CallRoundTrip) {
-  Network net(SimConfig::Zero());
+  runtime::Scheduler sched;
+  Network net(SimConfig::Zero(), sched);
   ASSERT_OK(net.RegisterSite(1, [](SiteId from, const Message& m) {
     Message reply = m;
     reply.payload.push_back(static_cast<uint8_t>(from));
@@ -38,7 +42,8 @@ TEST(NetworkTest, CallRoundTrip) {
 }
 
 TEST(NetworkTest, HandlerErrorsPropagate) {
-  Network net(SimConfig::Zero());
+  runtime::Scheduler sched;
+  Network net(SimConfig::Zero(), sched);
   ASSERT_OK(net.RegisterSite(1, [](SiteId, const Message&) {
     return Result<Message>(Status::Aborted("no"));
   }, 1));
@@ -46,7 +51,8 @@ TEST(NetworkTest, HandlerErrorsPropagate) {
 }
 
 TEST(NetworkTest, CallToUnknownOrDeadSiteIsUnavailable) {
-  Network net(SimConfig::Zero());
+  runtime::Scheduler sched;
+  Network net(SimConfig::Zero(), sched);
   EXPECT_TRUE(net.Call(0, 9, Ping(1, 1)).status().IsUnavailable());
   ASSERT_OK(net.RegisterSite(1, [](SiteId, const Message& m) {
     return Result<Message>(m);
@@ -57,7 +63,8 @@ TEST(NetworkTest, CallToUnknownOrDeadSiteIsUnavailable) {
 }
 
 TEST(NetworkTest, ParallelFanOutCompletes) {
-  Network net(SimConfig::Zero());
+  runtime::Scheduler sched;
+  Network net(SimConfig::Zero(), sched);
   std::atomic<int> handled{0};
   for (SiteId s = 1; s <= 4; ++s) {
     ASSERT_OK(net.RegisterSite(s, [&](SiteId, const Message& m) {
@@ -75,7 +82,8 @@ TEST(NetworkTest, ParallelFanOutCompletes) {
 }
 
 TEST(NetworkTest, CrashFailsQueuedCalls) {
-  Network net(SimConfig::Zero());
+  runtime::Scheduler sched;
+  Network net(SimConfig::Zero(), sched);
   std::atomic<bool> release{false};
   ASSERT_OK(net.RegisterSite(1, [&](SiteId, const Message& m) {
     while (!release.load()) {
@@ -102,7 +110,8 @@ TEST(NetworkTest, CrashFailsQueuedCalls) {
 }
 
 TEST(NetworkTest, RestartAfterCrash) {
-  Network net(SimConfig::Zero());
+  runtime::Scheduler sched;
+  Network net(SimConfig::Zero(), sched);
   auto echo = [](SiteId, const Message& m) { return Result<Message>(m); };
   ASSERT_OK(net.RegisterSite(1, echo, 1));
   // Double registration of a live site is refused.
@@ -113,7 +122,8 @@ TEST(NetworkTest, RestartAfterCrash) {
 }
 
 TEST(NetworkTest, CrashSubscribersFire) {
-  Network net(SimConfig::Zero());
+  runtime::Scheduler sched;
+  Network net(SimConfig::Zero(), sched);
   auto echo = [](SiteId, const Message& m) { return Result<Message>(m); };
   ASSERT_OK(net.RegisterSite(1, echo, 1));
   ASSERT_OK(net.RegisterSite(2, echo, 1));
@@ -125,7 +135,8 @@ TEST(NetworkTest, CrashSubscribersFire) {
 }
 
 TEST(NetworkTest, MessageStatsAccumulate) {
-  Network net(SimConfig::Zero());
+  runtime::Scheduler sched;
+  Network net(SimConfig::Zero(), sched);
   ASSERT_OK(net.RegisterSite(1, [](SiteId, const Message& m) {
     return Result<Message>(m);
   }, 1));
@@ -143,7 +154,8 @@ TEST(NetworkTest, MessageStatsAccumulate) {
 // exactly once.
 TEST(NetworkTest, ConcurrentCrashWaitsForDrain) {
   for (int round = 0; round < 20; ++round) {
-    Network net(SimConfig::Zero());
+    runtime::Scheduler sched;
+    Network net(SimConfig::Zero(), sched);
     std::atomic<bool> release{false};
     std::atomic<int> in_flight{0};
     ASSERT_OK(net.RegisterSite(1, [&](SiteId, const Message& m) {
@@ -186,7 +198,8 @@ TEST(NetworkTest, CrashUnderConcurrentAsyncLoad) {
   // underneath them: every future must complete (reply or Unavailable),
   // with no use-after-free or double-join in the dispatch teardown. Runs
   // under the TSan CI filter.
-  Network net(SimConfig::Zero());
+  runtime::Scheduler sched;
+  Network net(SimConfig::Zero(), sched);
   std::atomic<int64_t> handled{0};
   auto handler = [&](SiteId, const Message& m) {
     handled.fetch_add(1, std::memory_order_relaxed);
@@ -230,6 +243,134 @@ TEST(NetworkTest, CrashUnderConcurrentAsyncLoad) {
   EXPECT_GT(handled.load(), 0);
   EXPECT_EQ(bad_status.load(), 0)
       << "a crash must surface as kUnavailable, nothing else";
+}
+
+// Wire time is a deadline on the scheduler's timer, not a sleeping pool
+// thread: on a 1-worker runtime, 64 concurrent calls finish in about one
+// modelled round trip (2 ms), not 64, and no spare thread covers them.
+TEST(NetworkTest, ConcurrentCallsShareTheWireWithoutHoldingThreads) {
+  runtime::Scheduler::Options opt;
+  opt.workers = 1;
+  runtime::Scheduler sched(opt);
+  SimConfig cfg;
+  cfg.net_latency_ns = 1'000'000;
+  Network net(cfg, sched);
+  ASSERT_OK(net.RegisterSite(1, [](SiteId, const Message& m) {
+    return Result<Message>(m);
+  }, 8));
+  Stopwatch w;
+  std::vector<std::future<Result<Message>>> futures;
+  for (int i = 0; i < 64; ++i) {
+    futures.push_back(net.CallAsync(0, 1, Ping(1, static_cast<uint8_t>(i))));
+  }
+  for (auto& f : futures) EXPECT_TRUE(f.get().ok());
+  const int64_t elapsed = w.ElapsedNanos();
+  EXPECT_GE(elapsed, 2'000'000) << "a reply beat its modelled round trip";
+  EXPECT_LT(elapsed, 16'000'000) << "calls serialized on the wire";
+  EXPECT_EQ(sched.spares_spawned(), 0);
+  EXPECT_EQ(net.num_messages(), 128);
+}
+
+// A request still on the wire when its site crashes fails with
+// kUnavailable, and its handler never runs, not even on the restarted site.
+TEST(NetworkTest, CrashFailsRequestsStillOnTheWire) {
+  runtime::Scheduler sched;
+  SimConfig cfg;
+  cfg.net_latency_ns = 100'000'000;
+  Network net(cfg, sched);
+  std::atomic<int> handled{0};
+  auto handler = [&](SiteId, const Message& m) {
+    handled++;
+    return Result<Message>(m);
+  };
+  ASSERT_OK(net.RegisterSite(1, handler, 2));
+  std::vector<std::future<Result<Message>>> futures;
+  for (int i = 0; i < 8; ++i) {
+    futures.push_back(net.CallAsync(0, 1, Ping(1, static_cast<uint8_t>(i))));
+  }
+  net.CrashSite(1);
+  for (auto& f : futures) EXPECT_TRUE(f.get().status().IsUnavailable());
+  ASSERT_OK(net.RegisterSite(1, handler, 2));
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));  // past arrival
+  EXPECT_EQ(handled.load(), 0);
+  EXPECT_TRUE(net.Call(0, 1, Ping(1, 9)).ok());
+  EXPECT_EQ(handled.load(), 1);
+}
+
+// A reply on the wire when the runtime shuts down resolves as kUnavailable,
+// never as broken_promise.
+TEST(NetworkTest, ReplyInFlightAtShutdownResolves) {
+  runtime::Scheduler sched;
+  SimConfig cfg;
+  cfg.net_latency_ns = 100'000'000;
+  Network net(cfg, sched);
+  std::atomic<bool> served{false};
+  ASSERT_OK(net.RegisterSite(1, [&](SiteId, const Message& m) {
+    served = true;
+    return Result<Message>(m);
+  }, 1));
+  auto f = net.CallAsync(0, 1, Ping(1, 1));
+  while (!served.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  sched.Shutdown();
+  Result<Message> r = Status::Internal("unset");
+  EXPECT_NO_THROW(r = f.get());
+  EXPECT_TRUE(r.status().IsUnavailable()) << r.status().ToString();
+}
+
+// ~Network with a reply and a request on the wire: the reply still arrives
+// (its delivery touches no Network), the request fails, and its dispatch
+// turn, due after the network is gone, is dropped (ASan checks).
+TEST(NetworkTest, DestroyWithMessagesInFlight) {
+  runtime::Scheduler sched;
+  SimConfig cfg;
+  cfg.net_latency_ns = 50'000'000;
+  auto net = std::make_unique<Network>(cfg, sched);
+  std::atomic<int> handled{0};
+  ASSERT_OK(net->RegisterSite(1, [&](SiteId, const Message& m) {
+    handled++;
+    return Result<Message>(m);
+  }, 1));
+  auto reply_on_wire = net->CallAsync(0, 1, Ping(1, 1));
+  while (handled.load() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  auto request_on_wire = net->CallAsync(0, 1, Ping(1, 2));
+  net.reset();
+  Result<Message> reply = Status::Internal("unset");
+  Result<Message> request = Status::Internal("unset");
+  EXPECT_NO_THROW(reply = reply_on_wire.get());
+  EXPECT_NO_THROW(request = request_on_wire.get());
+  EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_TRUE(request.status().IsUnavailable());
+  std::this_thread::sleep_for(std::chrono::milliseconds(80));  // past arrival
+  EXPECT_EQ(handled.load(), 1);
+}
+
+// A site serves messages in arrival order, not send order: a large request
+// sent first is still on its sender's NIC when a small one from another
+// sender arrives.
+TEST(NetworkTest, ServesMessagesInArrivalOrder) {
+  runtime::Scheduler sched;
+  SimConfig cfg;
+  cfg.net_latency_ns = 0;
+  cfg.net_bandwidth_bytes_per_sec = 1'000'000;  // 1 byte per microsecond
+  Network net(cfg, sched);
+  std::mutex mu;
+  std::vector<uint8_t> served;
+  ASSERT_OK(net.RegisterSite(3, [&](SiteId, const Message& m) {
+    std::lock_guard<std::mutex> lock(mu);
+    served.push_back(m.payload[0]);
+    return Result<Message>(Ping(1, m.payload[0]));
+  }, 1));
+  Message big = Ping(1, 1);
+  big.payload.resize(100'000, 1);  // 100 ms on site 1's NIC
+  auto f_big = net.CallAsync(1, 3, big);
+  auto f_small = net.CallAsync(2, 3, Ping(1, 2));  // 33 us on site 2's NIC
+  EXPECT_TRUE(f_small.get().ok());
+  EXPECT_TRUE(f_big.get().ok());
+  EXPECT_EQ(served, (std::vector<uint8_t>{2, 1}));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/clock.h"
 #include "tests/test_util.h"
 #include "txn/timestamp_authority.h"
 
@@ -368,13 +369,23 @@ TEST(SchedulerTest, SeededDispatchIsDeterministic) {
     for (int s = 0; s < 8; ++s) strands.push_back(sched.CreateStrand(1));
     std::mutex mu;
     std::vector<int> order;
-    // Park the worker so every strand is ready before dispatch starts.
+    // Park the worker so every strand is ready before dispatch starts. The
+    // posts wait until the parking task runs: otherwise its ticket could
+    // still be in the ready set at the first seeded pick, and that set
+    // would depend on thread timing.
     std::condition_variable cv;
+    bool parked = false;
     bool go = false;
     sched.Post([&] {
       std::unique_lock<std::mutex> lock(mu);
+      parked = true;
+      cv.notify_all();
       cv.wait(lock, [&] { return go; });
     });
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return parked; });
+    }
     for (int i = 0; i < 64; ++i) {
       sched.Post(strands[static_cast<size_t>(i % 8)], [&, i] {
         std::lock_guard<std::mutex> lock(mu);
@@ -396,6 +407,76 @@ TEST(SchedulerTest, SeededDispatchIsDeterministic) {
   EXPECT_EQ(a, b) << "same seed must give the same dispatch order";
   // Different seeds *may* coincide, but for this workload they should not.
   EXPECT_NE(a, c) << "seed had no effect on dispatch order";
+}
+
+TEST(SchedulerTest, PostAtRunsTasksInDeadlineOrder) {
+  Scheduler::Options opt;
+  opt.workers = 1;
+  Scheduler sched(opt);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<int> order;
+  const int64_t base = NowNanos() + Ms(5);
+  // Posted latest-first; each deadline 1 ms apart.
+  for (int i = 4; i >= 0; --i) {
+    ASSERT_TRUE(sched.PostAt(Scheduler::kPool, base + Ms(i), [&, i] {
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back(i);
+      cv.notify_all();
+    }));
+  }
+  std::unique_lock<std::mutex> lock(mu);
+  ASSERT_TRUE(cv.wait_for(lock, 10s, [&] { return order.size() == 5u; }));
+  EXPECT_GE(NowNanos(), base + Ms(4)) << "a task ran before its deadline";
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(sched.spares_spawned(), 0);
+}
+
+TEST(SchedulerTest, PostAtKeepsFifoAmongEqualDeadlinesOnAStrand) {
+  Scheduler sched;
+  const StrandId strand = sched.CreateStrand(1);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<int> order;
+  const int64_t deadline = NowNanos() + Ms(3);
+  for (int i = 0; i < 32; ++i) {
+    ASSERT_TRUE(sched.PostAt(strand, deadline, [&, i] {
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back(i);
+      cv.notify_all();
+    }));
+  }
+  // The same deadline posted last runs last, even if already due by now.
+  ASSERT_TRUE(sched.PostAt(strand, deadline, [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    order.push_back(32);
+    cv.notify_all();
+  }));
+  std::unique_lock<std::mutex> lock(mu);
+  ASSERT_TRUE(cv.wait_for(lock, 10s, [&] { return order.size() == 33u; }));
+  for (int i = 0; i < 33; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
+}
+
+TEST(SchedulerTest, PostAtRejectedAfterShutdownOrRelease) {
+  Scheduler sched;
+  const StrandId strand = sched.CreateStrand(1);
+  std::atomic<int> ran{0};
+  // Pending at release: dropped unrun when due.
+  ASSERT_TRUE(sched.PostAt(strand, NowNanos() + Ms(2), [&] { ran++; }));
+  sched.ReleaseStrand(strand);
+  EXPECT_FALSE(sched.PostAt(strand, NowNanos() + Ms(1), [&] { ran++; }));
+  EXPECT_FALSE(sched.PostAt(strand, 0, [&] { ran++; }));
+  // Pending at shutdown: destroyed unrun, and its captures released.
+  auto witness = std::make_shared<int>(0);
+  ASSERT_TRUE(sched.PostAt(Scheduler::kPool, NowNanos() + Ms(10'000),
+                           [&, witness] { ran++; }));
+  std::this_thread::sleep_for(5ms);  // the released strand's entry comes due
+  sched.Shutdown();
+  EXPECT_EQ(witness.use_count(), 1);
+  EXPECT_FALSE(sched.PostAt(Scheduler::kPool, NowNanos() + Ms(1),
+                            [&] { ran++; }));
+  EXPECT_FALSE(sched.PostAt(Scheduler::kPool, 0, [&] { ran++; }));
+  EXPECT_EQ(ran.load(), 0);
 }
 
 TEST(SchedulerTest, ConcurrentPostAndShutdown) {

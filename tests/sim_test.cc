@@ -84,39 +84,54 @@ TEST(SimDiskTest, ForcedWriteCostsMoreThanSequential) {
 TEST(SimNetworkTest, CountsMessagesAndBytes) {
   SimConfig cfg = SimConfig::Zero();
   SimNetwork net(cfg);
-  net.ChargeMessage(1, 100);
-  net.ChargeMessage(2, 400);
+  net.Send(1, 100);
+  net.Send(2, 400);
   EXPECT_EQ(net.num_messages(), 2);
   EXPECT_EQ(net.num_bytes(), 500);
 }
 
 TEST(SimNetworkTest, SendersSerializeIndependently) {
-  // Two senders transfer concurrently on separate NICs: total time is one
-  // transfer, not two (the parallel-recovery property, §6.4.1).
+  // Sending reserves without waiting, so arrival instants are exact. A
+  // 5 KB message at 1 KB/s holds its sender's NIC for exactly 5 s (long
+  // enough that no deschedule of this test can reach it); propagation is
+  // added after the NIC and does not serialize.
+  constexpr int64_t kTransfer = 5'000'000'000;
+  constexpr int64_t kLatency = 1'000'000;
   SimConfig cfg;
-  cfg.net_latency_ns = 0;
-  cfg.net_bandwidth_bytes_per_sec = 1'000'000;  // 1 MB/s: 5 ms per 5 KB
+  cfg.net_latency_ns = kLatency;
+  cfg.net_bandwidth_bytes_per_sec = 1'000;
   SimNetwork net(cfg);
-  // Overlapped, not 10 ms. The 9 ms bound leaves ~4 ms of scheduler
-  // headroom, which a loaded test box (ctest -j) can eat; keep the best of
-  // a few attempts, since contention only ever inflates the measurement.
-  int64_t best = std::numeric_limits<int64_t>::max();
-  for (int attempt = 0; attempt < 3 && best >= 9'000'000; ++attempt) {
-    Stopwatch w;
-    std::thread a([&] { net.ChargeMessage(1, 5000); });
-    std::thread b([&] { net.ChargeMessage(2, 5000); });
-    a.join();
-    b.join();
-    best = std::min(best, w.ElapsedNanos());
+  // Two senders transfer concurrently on separate NICs: each message
+  // arrives one transfer plus propagation after its send, not two (the
+  // parallel-recovery property, §6.4.1).
+  const int64_t before = NowNanos();
+  const int64_t a = net.Send(1, 5000);
+  const int64_t b = net.Send(2, 5000);
+  const int64_t after = NowNanos();
+  for (int64_t arrival : {a, b}) {
+    EXPECT_GE(arrival, before + kTransfer + kLatency);
+    EXPECT_LE(arrival, after + kTransfer + kLatency);
   }
-  EXPECT_LT(best, 9'000'000);
-  // Same sender: serialized.
-  Stopwatch w2;
-  std::thread c([&] { net.ChargeMessage(1, 5000); });
-  std::thread d([&] { net.ChargeMessage(1, 5000); });
-  c.join();
-  d.join();
-  EXPECT_GE(w2.ElapsedNanos(), 9'000'000);
+  // Same sender: serialized, exactly one transfer apart.
+  const int64_t c = net.Send(1, 5000);
+  const int64_t d = net.Send(1, 5000);
+  EXPECT_EQ(c - a, kTransfer);
+  EXPECT_EQ(d - c, kTransfer);
+  EXPECT_LT(NowNanos() - before, kTransfer) << "Send waited on the wire";
+}
+
+TEST(SimDeviceTest, ReserveQueuesWithoutWaiting) {
+  SimDevice dev("d", true);
+  const int64_t before = NowNanos();
+  const int64_t first = dev.Reserve(1'000'000'000);  // 1 s
+  const int64_t second = dev.Reserve(1'000'000'000);
+  EXPECT_GE(first, before + 1'000'000'000);
+  EXPECT_EQ(second - first, 1'000'000'000);
+  EXPECT_LT(NowNanos() - before, 1'000'000'000) << "Reserve waited";
+  EXPECT_EQ(dev.total_cost_ns(), 2'000'000'000);
+  SimDevice off("off", /*enable_latency=*/false);
+  const int64_t end = off.Reserve(1'000'000'000);
+  EXPECT_LE(end, NowNanos()) << "latency off: the interval ends now";
 }
 
 TEST(SimCpuTest, WorkSerializesOnOneProcessor) {
